@@ -907,7 +907,7 @@ impl Boom {
         if self.wrong_path {
             Some(self.wp_pc)
         } else if self.fetch_seq < self.stream.len() {
-            Some(self.stream.instrs()[self.fetch_seq].pc)
+            Some(self.stream.pc(self.fetch_seq))
         } else {
             None
         }
@@ -946,7 +946,7 @@ impl Boom {
             && self.fb.len() < self.config.fetch_buffer_entries
             && self.fetch_seq < self.stream.len()
         {
-            let d = self.stream.instrs()[self.fetch_seq];
+            let d = self.stream.get(self.fetch_seq);
             let class = d.class();
             if !class.is_control_flow() {
                 self.push_on_path_uop(self.fetch_seq, None);
@@ -1059,7 +1059,7 @@ impl Boom {
     }
 
     fn push_on_path_uop(&mut self, stream_idx: usize, mispredict: Option<Mispredict>) {
-        let d = self.stream.instrs()[stream_idx];
+        let d = self.stream.get(stream_idx);
         let id = self.alloc_id();
         let mut deps = Deps::new();
         for &r in d.op.src_list().as_slice() {

@@ -918,9 +918,12 @@ pub fn simulate_cell_with(
 }
 
 /// Simulates one multi-core (SoC) cell. Every core runs the cell's
-/// workload, but each core derives its own data seed (core 0 keeps the
-/// cell's [`data_seed`], core `k` mixes in `k`), so cores never execute
-/// byte-identical streams and shared-L2 interference is non-trivial.
+/// workload, and each core derives its own data seed (core 0 keeps the
+/// cell's [`data_seed`], core `k` mixes in `k`). Only the seed-capable
+/// workloads (the sorts) read that seed, so only their cores execute
+/// different data; the cores of a seed-blind workload execute
+/// byte-identical streams and meet in the shared L2 with identical
+/// access patterns.
 /// SoC cores always measure with the add-wires counter architecture
 /// (the paper's hardware design); the engine choice never affects the
 /// result bytes, so it stays out of the cell fingerprint.

@@ -488,10 +488,7 @@ fn measure(workload: &Workload, core: CoreSelect, perf: Perf) -> Result<PerfRepo
 
 fn list(json: bool) -> Result<()> {
     use icicle::campaign::json::Json;
-    let workloads: Vec<String> = icicle::workloads::catalog()
-        .iter()
-        .map(|w| w.name().to_string())
-        .collect();
+    let workloads: Vec<String> = icicle::workloads::names().map(String::from).collect();
     let cores: Vec<String> = CoreSelect::all()
         .into_iter()
         .map(CoreSelect::name)

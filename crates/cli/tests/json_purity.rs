@@ -151,3 +151,51 @@ fn log_level_jsonl_goes_to_the_sink_not_stdout() {
     assert!(log.contains("campaign.run"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn list_json_keeps_the_catalog_order() {
+    let out = bin()
+        .args(["list", "--json"])
+        .output()
+        .expect("icicle-tma list runs");
+    assert!(out.status.success(), "{:?}", out);
+    let doc = parse_stdout(&out);
+    let names: Vec<&str> = doc
+        .get("workloads")
+        .and_then(Json::as_array)
+        .expect("workloads array")
+        .iter()
+        .map(|w| w.as_str().expect("workload names are strings"))
+        .collect();
+    let expected = [
+        "mergesort",
+        "qsort",
+        "rsort",
+        "memcpy",
+        "mm",
+        "vvadd",
+        "brmiss",
+        "brmiss_inv",
+        "spmv",
+        "towers",
+        "median",
+        "multiply",
+        "atomic_histogram",
+        "dhrystone",
+        "coremark",
+        "500.perlbench_r",
+        "502.gcc_r",
+        "505.mcf_r",
+        "520.omnetpp_r",
+        "523.xalancbmk_r",
+        "525.x264_r",
+        "531.deepsjeng_r",
+        "541.leela_r",
+        "548.exchange2_r",
+        "557.xz_r",
+        "coremark-sched",
+        "ptrchase",
+        "muldiv",
+    ];
+    assert_eq!(names, expected);
+}

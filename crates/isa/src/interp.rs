@@ -1,6 +1,6 @@
 //! The architectural interpreter.
 
-use crate::dynamic::{BranchInfo, DynInstr, DynStream, MemAccess};
+use crate::dynamic::{BranchInfo, DynInstr, DynStream, MemAccess, Record};
 use crate::error::IsaError;
 use crate::instr::{AluKind, AmoKind, BranchKind, FpKind, MemWidth, Op, Src2};
 use crate::memory::Memory;
@@ -77,10 +77,39 @@ impl<'p> Interpreter<'p> {
     /// Returns an error if the PC leaves the text segment, the dynamic
     /// instruction limit is exceeded, a memory access is invalid, or a
     /// division by zero occurs.
-    pub fn run(mut self, max_instrs: u64) -> Result<DynStream, IsaError> {
-        let mut out: Vec<DynInstr> = Vec::new();
+    pub fn run(self, max_instrs: u64) -> Result<DynStream, IsaError> {
+        let code = self.program.code_arc();
+        let mut records = Vec::new();
+        let regs = self.execute(max_instrs, |index, d| {
+            records.push(Record::encode(index, d));
+        })?;
+        Ok(DynStream::new(code, records, regs))
+    }
+
+    /// Runs like [`Interpreter::run`] but keeps every executed instruction
+    /// as a full [`DynInstr`], with the final registers: the uncompressed
+    /// reference that tests check a decoded [`DynStream`] against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Interpreter::run`].
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn run_recording(self, max_instrs: u64) -> Result<(Vec<DynInstr>, [u64; 32]), IsaError> {
+        let mut out = Vec::new();
+        let regs = self.execute(max_instrs, |_, d| out.push(*d))?;
+        Ok((out, regs))
+    }
+
+    /// Executes to `halt`, handing each instruction's static index and
+    /// outcome to `sink`; returns the final integer registers.
+    fn execute(
+        mut self,
+        max_instrs: u64,
+        mut sink: impl FnMut(u32, &DynInstr),
+    ) -> Result<[u64; 32], IsaError> {
+        let mut seq: u64 = 0;
         loop {
-            if out.len() as u64 >= max_instrs {
+            if seq >= max_instrs {
                 return Err(IsaError::InstructionLimit(max_instrs));
             }
             let idx = self.pc_index;
@@ -276,20 +305,24 @@ impl<'p> Interpreter<'p> {
             } else {
                 self.program.pc_of(next_index)
             };
-            out.push(DynInstr {
-                seq: out.len() as u64,
-                pc,
-                op,
-                mem: mem_access,
-                branch,
-                next_pc,
-            });
+            sink(
+                idx,
+                &DynInstr {
+                    seq,
+                    pc,
+                    op,
+                    mem: mem_access,
+                    branch,
+                    next_pc,
+                },
+            );
+            seq += 1;
             if halted {
                 break;
             }
             self.pc_index = next_index;
         }
-        Ok(DynStream::new(out, self.regs))
+        Ok(self.regs)
     }
 }
 
@@ -363,9 +396,9 @@ mod tests {
         b.label("skip");
         b.halt();
         let s = run(b);
-        let br = s.instrs()[1].branch.unwrap();
+        let br = s.get(1).branch.unwrap();
         assert!(!br.taken);
-        assert!(!s.instrs()[1].redirects());
+        assert!(!s.get(1).redirects());
     }
 
     #[test]
@@ -379,7 +412,7 @@ mod tests {
         b.halt();
         let s = run(b);
         assert_eq!(s.trailing_reg(Reg::T2), 0x1234);
-        let st = s.instrs()[2].mem.unwrap();
+        let st = s.get(2).mem.unwrap();
         assert!(st.is_store);
         assert_eq!(st.addr, buf + 8);
     }

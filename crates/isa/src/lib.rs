@@ -14,7 +14,8 @@
 //!
 //! 1. Build a [`Program`] with [`ProgramBuilder`] (an assembler-like DSL).
 //! 2. Execute it architecturally with [`Interpreter`], producing a stream of
-//!    [`DynInstr`] records (PC, outcome, memory address, next PC).
+//!    [`DynInstr`] records (PC, outcome, memory address, next PC), stored
+//!    as compact 16-byte records and decoded on read.
 //! 3. Feed that dynamic stream to a cycle-level core model
 //!    (`icicle-rocket`, `icicle-boom`) which replays it with timing.
 //!

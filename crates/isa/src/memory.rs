@@ -6,15 +6,43 @@ use crate::error::IsaError;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+const PAGE_MASK: u64 = PAGE_SIZE - 1;
+
+type Page = Box<[u8; PAGE_SIZE as usize]>;
 
 /// A sparse 64-bit byte-addressable memory backed by 4 KiB pages.
 ///
-/// Pages are allocated on first touch (reads of untouched memory return
+/// Pages are allocated on first write (reads of untouched memory return
 /// zero), which lets workloads use widely separated text, data, and stack
-/// regions without reserving gigabytes.
+/// regions without reserving gigabytes. Every access is split at page
+/// boundaries and copies whole runs of bytes, so an access looks each
+/// page it touches up once.
 #[derive(Clone, Default, Debug)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u64, Page>,
+}
+
+/// Splits `len` bytes starting at `addr` into per-page runs: yields
+/// `(address, offset within the run, run length)`.
+fn page_runs(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let a = addr.wrapping_add(done as u64);
+        let n = (PAGE_SIZE - (a & PAGE_MASK)).min((len - done) as u64) as usize;
+        let run = (a, done, n);
+        done += n;
+        Some(run)
+    })
+}
+
+fn check(addr: u64, len: u64) -> Result<(), IsaError> {
+    if !matches!(len, 1 | 2 | 4 | 8) || addr.checked_add(len).is_none() {
+        return Err(IsaError::BadAccess { addr, len });
+    }
+    Ok(())
 }
 
 impl Memory {
@@ -34,17 +62,6 @@ impl Memory {
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
     }
 
-    fn read_byte(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr & (PAGE_SIZE - 1)) as usize],
-            None => 0,
-        }
-    }
-
-    fn write_byte(&mut self, addr: u64, val: u8) {
-        self.page_mut(addr)[(addr & (PAGE_SIZE - 1)) as usize] = val;
-    }
-
     /// Reads `len` bytes (1, 2, 4, or 8) little-endian, zero-extended.
     ///
     /// # Errors
@@ -52,14 +69,15 @@ impl Memory {
     /// Returns [`IsaError::BadAccess`] if `len` is not a supported width or
     /// the access would wrap the address space.
     pub fn read(&self, addr: u64, len: u64) -> Result<u64, IsaError> {
-        if !matches!(len, 1 | 2 | 4 | 8) || addr.checked_add(len).is_none() {
-            return Err(IsaError::BadAccess { addr, len });
+        check(addr, len)?;
+        let mut buf = [0u8; 8];
+        for (a, at, n) in page_runs(addr, len as usize) {
+            if let Some(page) = self.pages.get(&(a >> PAGE_SHIFT)) {
+                let off = (a & PAGE_MASK) as usize;
+                buf[at..at + n].copy_from_slice(&page[off..off + n]);
+            }
         }
-        let mut val: u64 = 0;
-        for i in 0..len {
-            val |= (self.read_byte(addr + i) as u64) << (8 * i);
-        }
-        Ok(val)
+        Ok(u64::from_le_bytes(buf))
     }
 
     /// Writes the low `len` bytes (1, 2, 4, or 8) of `val` little-endian.
@@ -69,19 +87,16 @@ impl Memory {
     /// Returns [`IsaError::BadAccess`] if `len` is not a supported width or
     /// the access would wrap the address space.
     pub fn write(&mut self, addr: u64, len: u64, val: u64) -> Result<(), IsaError> {
-        if !matches!(len, 1 | 2 | 4 | 8) || addr.checked_add(len).is_none() {
-            return Err(IsaError::BadAccess { addr, len });
-        }
-        for i in 0..len {
-            self.write_byte(addr + i, (val >> (8 * i)) as u8);
-        }
+        check(addr, len)?;
+        self.write_bytes(addr, &val.to_le_bytes()[..len as usize]);
         Ok(())
     }
 
     /// Copies a byte slice into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_byte(addr + i as u64, *b);
+        for (a, at, n) in page_runs(addr, bytes.len()) {
+            let off = (a & PAGE_MASK) as usize;
+            self.page_mut(a)[off..off + n].copy_from_slice(&bytes[at..at + n]);
         }
     }
 }

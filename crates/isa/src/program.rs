@@ -1,6 +1,7 @@
 //! Programs and the assembler-like builder DSL.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::IsaError;
 use crate::instr::{AluKind, AmoKind, BranchKind, FpKind, Instr, MemWidth, Op, Src2};
@@ -15,9 +16,15 @@ pub const DATA_BASE: u64 = 0x9000_0000;
 #[derive(Clone, Debug)]
 pub struct Program {
     name: String,
-    code: Vec<Op>,
+    code: Arc<[Op]>,
     data: Vec<(u64, Vec<u8>)>,
     labels: HashMap<String, u32>,
+}
+
+/// The byte PC of static instruction `index`.
+#[inline]
+pub(crate) fn text_pc(index: u32) -> u64 {
+    TEXT_BASE + 4 * index as u64
 }
 
 impl Program {
@@ -29,6 +36,14 @@ impl Program {
     /// The instruction text.
     pub fn code(&self) -> &[Op] {
         &self.code
+    }
+
+    /// A shared handle to the instruction text, which a [`DynStream`]
+    /// keeps to decode its records.
+    ///
+    /// [`DynStream`]: crate::DynStream
+    pub(crate) fn code_arc(&self) -> Arc<[Op]> {
+        Arc::clone(&self.code)
     }
 
     /// Number of static instructions.
@@ -49,7 +64,7 @@ impl Program {
 
     /// The byte PC of instruction `index`.
     pub fn pc_of(&self, index: u32) -> u64 {
-        TEXT_BASE + 4 * index as u64
+        text_pc(index)
     }
 
     /// The instruction index of byte address `pc`, if it is in the text
@@ -537,7 +552,7 @@ impl ProgramBuilder {
         }
         Ok(Program {
             name: self.name,
-            code,
+            code: code.into(),
             data: self.data,
             labels: self.labels,
         })

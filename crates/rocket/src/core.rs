@@ -69,7 +69,8 @@ pub struct Rocket {
     fetch_allowed: u64,
     refill_until: u64,
     recovering: bool,
-    ibuf: VecDeque<(usize, Option<Mispredict>)>,
+    /// Fetched instructions, decoded once on delivery.
+    ibuf: VecDeque<(DynInstr, Option<Mispredict>)>,
 
     retired_pcs: Vec<u64>,
 
@@ -155,10 +156,6 @@ impl Rocket {
         Some(self.cycle)
     }
 
-    fn dyn_at(&self, seq: usize) -> &DynInstr {
-        &self.stream.instrs()[seq]
-    }
-
     // --- Front-end -------------------------------------------------------
 
     fn frontend(&mut self) {
@@ -200,7 +197,7 @@ impl Rocket {
             self.fetch_state = FetchState::Drained;
             return;
         }
-        let pc = self.dyn_at(self.fetch_seq).pc;
+        let pc = self.stream.pc(self.fetch_seq);
         let r = self.mem.fetch(pc, self.cycle);
         if !r.l1_hit {
             self.events.raise(EventId::ICacheMiss);
@@ -228,10 +225,10 @@ impl Rocket {
             && self.ibuf.len() < self.config.ibuf_entries
             && self.fetch_seq < self.stream.len()
         {
-            let d = *self.dyn_at(self.fetch_seq);
+            let d = self.stream.get(self.fetch_seq);
             let class = d.class();
             if !class.is_control_flow() {
-                self.ibuf.push_back((self.fetch_seq, None));
+                self.ibuf.push_back((d, None));
                 self.fetch_seq += 1;
                 delivered += 1;
                 if class == InstrClass::Halt {
@@ -250,7 +247,7 @@ impl Rocket {
                         self.btb.update(d.pc, info.target);
                     }
                     if predicted_taken == info.taken {
-                        self.ibuf.push_back((self.fetch_seq, None));
+                        self.ibuf.push_back((d, None));
                         self.fetch_seq += 1;
                         if info.taken {
                             // Correctly predicted taken: the fetch group
@@ -270,8 +267,7 @@ impl Rocket {
                     } else {
                         // Direction mispredict: front-end goes down the
                         // wrong path until execute resolves.
-                        self.ibuf
-                            .push_back((self.fetch_seq, Some(Mispredict::Direction)));
+                        self.ibuf.push_back((d, Some(Mispredict::Direction)));
                         self.fetch_seq += 1;
                         self.fetch_state = FetchState::WrongPath;
                         return;
@@ -285,7 +281,7 @@ impl Rocket {
                     if is_call(&d.op) {
                         self.ras.push(d.pc + 4);
                     }
-                    self.ibuf.push_back((self.fetch_seq, None));
+                    self.ibuf.push_back((d, None));
                     self.fetch_seq += 1;
                     if btb_target != Some(info.target) {
                         self.events.raise(EventId::CfTargetMispredict);
@@ -310,14 +306,13 @@ impl Rocket {
                         self.ras.push(d.pc + 4);
                     }
                     if predicted == Some(info.target) {
-                        self.ibuf.push_back((self.fetch_seq, None));
+                        self.ibuf.push_back((d, None));
                         self.fetch_seq += 1;
                         self.fetch_allowed = self.cycle + 1;
                         self.fetch_state = FetchState::Starting;
                     } else {
                         // The register target is only known in execute.
-                        self.ibuf
-                            .push_back((self.fetch_seq, Some(Mispredict::Target)));
+                        self.ibuf.push_back((d, Some(Mispredict::Target)));
                         self.fetch_seq += 1;
                         self.fetch_state = FetchState::WrongPath;
                     }
@@ -350,7 +345,7 @@ impl Rocket {
         }
         self.stall = StallKind::None;
 
-        let Some(&(seq, mispredict)) = self.ibuf.front() else {
+        let Some(&(d, mispredict)) = self.ibuf.front() else {
             // IBuf invalid, decode ready: the paper's fetch-bubble
             // definition, suppressed while recovering.
             if self.recovering {
@@ -363,8 +358,6 @@ impl Rocket {
             }
             return;
         };
-
-        let d = *self.dyn_at(seq);
 
         // Operand interlocks.
         for &src in d.op.src_list().as_slice() {
@@ -543,8 +536,7 @@ impl Rocket {
         // Back end.
         if self.exec_busy_until > c {
             wake = wake.min(self.exec_busy_until);
-        } else if let Some(&(seq, _)) = self.ibuf.front() {
-            let d = self.dyn_at(seq);
+        } else if let Some((d, _)) = self.ibuf.front() {
             let mut blocked = false;
             for &src in d.op.src_list().as_slice() {
                 let ready = self.scoreboard[src.index()];

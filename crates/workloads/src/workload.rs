@@ -42,6 +42,11 @@ impl Workload {
         Arc::clone(&self.program)
     }
 
+    /// The dynamic-instruction budget [`Workload::execute`] runs under.
+    pub fn max_instrs(&self) -> u64 {
+        self.max_instrs
+    }
+
     /// Architecturally executes the workload.
     ///
     /// # Errors
